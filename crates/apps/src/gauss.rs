@@ -20,6 +20,7 @@
 
 use crate::Kernel;
 use nowmp_omp::{OmpProgram, OmpSystem, Params};
+use nowmp_tmk::WordMem;
 
 /// The Gauss kernel.
 #[derive(Debug, Clone)]

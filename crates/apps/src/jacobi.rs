@@ -9,10 +9,15 @@
 //!
 //! OpenMP shape: the sweep and the copy-back are two parallel `for`
 //! constructs per iteration, so adaptation points arrive at twice the
-//! iteration rate.
+//! iteration rate. Each region body is written once (`JacobiTask`)
+//! and runs on both engines.
 
 use crate::Kernel;
-use nowmp_omp::{OmpProgram, OmpSystem, Params};
+use nowmp_omp::sched::static_block;
+use nowmp_omp::{OmpProgram, OmpSystem, Params, ParamsReader};
+use nowmp_tmk::engine::{RegionTask, Step, WordMem};
+use nowmp_tmk::types::{Addr, Pid};
+use std::ops::Range;
 
 /// The Jacobi kernel.
 #[derive(Debug, Clone)]
@@ -74,64 +79,114 @@ impl Jacobi {
     }
 }
 
+/// Which Jacobi region a [`JacobiTask`] runs.
+#[derive(Debug, Clone, Copy)]
+enum JacobiRegion {
+    Init,
+    Sweep,
+    Copy,
+}
+
+/// One rank's share of a Jacobi region — the single source both
+/// engines run (built by [`Jacobi::task`]). Every region is one
+/// worksharing loop over rows, so one step finishes it.
+#[derive(Debug)]
+pub(crate) struct JacobiTask {
+    region: JacobiRegion,
+    n: u64,
+    rows: Range<u64>,
+    grid: Addr,
+    next: Addr,
+}
+
+impl Jacobi {
+    /// The outlined regions, in registration order.
+    const REGIONS: [&'static str; 3] = ["jacobi_init", "jacobi_sweep", "jacobi_copy"];
+    /// The shared arrays, in the order [`Jacobi::task`] takes their
+    /// addresses.
+    pub(crate) const ARRAYS: [&'static str; 2] = ["jacobi_grid", "jacobi_next"];
+
+    /// The region factory: rank `pid` of `nprocs`'s share of `region`
+    /// under `schedule(static)` over rows, given the region's params
+    /// (the grid side) and the addresses of [`Jacobi::ARRAYS`].
+    pub(crate) fn task(
+        region: &str,
+        params: &[u8],
+        [grid, next]: [Addr; 2],
+        pid: Pid,
+        nprocs: usize,
+    ) -> JacobiTask {
+        let n = ParamsReader::new(params).u64();
+        let (region, rows) = match region {
+            "jacobi_init" => (JacobiRegion::Init, 0..n),
+            "jacobi_sweep" => (JacobiRegion::Sweep, 1..n - 1),
+            "jacobi_copy" => (JacobiRegion::Copy, 1..n - 1),
+            other => panic!("unknown Jacobi region {other:?}"),
+        };
+        JacobiTask {
+            region,
+            n,
+            rows: static_block(rows, pid as usize, nprocs),
+            grid,
+            next,
+        }
+    }
+}
+
+impl<M: WordMem> RegionTask<M> for JacobiTask {
+    fn step(&mut self, m: &mut M) -> Step {
+        let n = self.n as usize;
+        let row = |base: Addr, r: u64| base + r * self.n;
+        let mut out = vec![0.0; n];
+        match self.region {
+            // Parallel first-touch initialization (replay-safe on
+            // recovery: forks fast-forward, sequential code does not).
+            JacobiRegion::Init => {
+                for r in self.rows.clone() {
+                    for (c, v) in out.iter_mut().enumerate() {
+                        *v = Jacobi::init_value(n, r as usize, c);
+                    }
+                    m.write_f64s(row(self.grid, r), &out);
+                    m.write_f64s(row(self.next, r), &out);
+                }
+            }
+            // Stencil interior rows of `grid` into `next`.
+            JacobiRegion::Sweep => {
+                let mut above = vec![0.0; n];
+                let mut here = vec![0.0; n];
+                let mut below = vec![0.0; n];
+                for r in self.rows.clone() {
+                    m.read_f64s(row(self.grid, r - 1), &mut above);
+                    m.read_f64s(row(self.grid, r), &mut here);
+                    m.read_f64s(row(self.grid, r + 1), &mut below);
+                    out[0] = here[0];
+                    out[n - 1] = here[n - 1];
+                    for c in 1..n - 1 {
+                        out[c] = 0.25 * (above[c] + below[c] + here[c - 1] + here[c + 1]);
+                    }
+                    m.write_f64s(row(self.next, r), &out);
+                }
+            }
+            // Copy interior rows of `next` back into `grid`.
+            JacobiRegion::Copy => {
+                for r in self.rows.clone() {
+                    m.read_f64s(row(self.next, r), &mut out);
+                    m.write_f64s(row(self.grid, r), &out);
+                }
+            }
+        }
+        m.charge_compute(self.rows.end - self.rows.start);
+        Step::Done
+    }
+}
+
 impl Kernel for Jacobi {
     fn name(&self) -> &'static str {
         "Jacobi"
     }
 
     fn add_regions(&self, p: OmpProgram) -> OmpProgram {
-        p.region("jacobi_init", |ctx| {
-            // Parallel first-touch initialization (replay-safe on
-            // recovery: forks fast-forward, sequential code does not).
-            let mut p = ctx.params();
-            let n = p.u64();
-            let grid = ctx.f64mat("jacobi_grid", n, n);
-            let next = ctx.f64mat("jacobi_next", n, n);
-            let mut row = vec![0.0; n as usize];
-            ctx.for_static(0..n, |ctx, r| {
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v = Jacobi::init_value(n as usize, r as usize, c);
-                }
-                let d = ctx.dsm();
-                grid.write_row(d, r as usize, &row);
-                next.write_row(d, r as usize, &row);
-            });
-        })
-        .region("jacobi_sweep", |ctx| {
-            let mut p = ctx.params();
-            let n = p.u64();
-            let grid = ctx.f64mat("jacobi_grid", n, n);
-            let next = ctx.f64mat("jacobi_next", n, n);
-            // #pragma omp for schedule(static) over interior rows
-            let mut above = vec![0.0; n as usize];
-            let mut here = vec![0.0; n as usize];
-            let mut below = vec![0.0; n as usize];
-            let mut out = vec![0.0; n as usize];
-            ctx.for_static(1..n - 1, |ctx, r| {
-                let d = ctx.dsm();
-                grid.read_row(d, (r - 1) as usize, &mut above);
-                grid.read_row(d, r as usize, &mut here);
-                grid.read_row(d, (r + 1) as usize, &mut below);
-                out[0] = here[0];
-                out[n as usize - 1] = here[n as usize - 1];
-                for c in 1..n as usize - 1 {
-                    out[c] = 0.25 * (above[c] + below[c] + here[c - 1] + here[c + 1]);
-                }
-                next.write_row(d, r as usize, &out);
-            });
-        })
-        .region("jacobi_copy", |ctx| {
-            let mut p = ctx.params();
-            let n = p.u64();
-            let grid = ctx.f64mat("jacobi_grid", n, n);
-            let next = ctx.f64mat("jacobi_next", n, n);
-            let mut row = vec![0.0; n as usize];
-            ctx.for_static(1..n - 1, |ctx, r| {
-                let d = ctx.dsm();
-                next.read_row(d, r as usize, &mut row);
-                grid.write_row(d, r as usize, &row);
-            });
-        })
+        crate::task_regions(p, &Jacobi::REGIONS, Jacobi::ARRAYS, Jacobi::task)
     }
 
     fn setup(&self, sys: &mut OmpSystem) {
@@ -188,8 +243,11 @@ impl Kernel for Jacobi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_kernel;
-    use nowmp_core::{ClusterConfig, LeaveSel};
+    use crate::testing::{self, Engine};
+    use nowmp_core::ClusterConfig;
+    use nowmp_util::Clock;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     // Indices are written `row * stride + col`; keep the row factor
@@ -207,12 +265,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_reference_exactly() {
-        for procs in [1, 2, 4] {
-            let j = Jacobi::new(24);
-            let (sys, err) = run_kernel(&j, ClusterConfig::test(procs + 1, procs), 10);
-            assert_eq!(err, 0.0, "procs={procs}: Jacobi must be bit-exact");
-            sys.shutdown();
-        }
+        testing::jacobi_matches_reference(Engine::Thread);
     }
 
     #[test]
@@ -233,21 +286,41 @@ mod tests {
 
     #[test]
     fn jacobi_under_adaptation_stays_exact() {
-        let j = Jacobi::new(24);
-        let program = crate::build_program(&[&j]);
-        let mut sys = nowmp_omp::OmpSystem::new(ClusterConfig::test(5, 4), program);
-        j.setup(&mut sys);
-        for it in 0..8 {
-            if it == 2 {
-                sys.adapt().leave(LeaveSel::Pid(3), None).unwrap();
+        testing::jacobi_under_adaptation(Engine::Thread);
+    }
+
+    /// Shutting down while a join is requested but not yet seated at
+    /// an adaptation point must not hang, on either clock. A watchdog
+    /// turns a hang into a failure.
+    #[test]
+    fn shutdown_with_unseated_join_does_not_hang() {
+        for virtual_clock in [false, true] {
+            for steps_after_join in [0, 1] {
+                let what =
+                    format!("virtual={virtual_clock}, {steps_after_join} step(s) after the join");
+                let (done, finished) = mpsc::channel();
+                std::thread::spawn(move || {
+                    let j = Jacobi::new(64);
+                    let clock = if virtual_clock {
+                        Clock::new_virtual()
+                    } else {
+                        Clock::real()
+                    };
+                    let cfg = ClusterConfig::test(6, 4).with_clock(clock);
+                    let mut sys = OmpSystem::new(cfg, crate::build_program(&[&j]));
+                    j.setup(&mut sys);
+                    j.step(&mut sys, 0);
+                    sys.adapt().join().unwrap();
+                    for it in 1..=steps_after_join {
+                        j.step(&mut sys, it);
+                    }
+                    sys.shutdown();
+                    let _ = done.send(());
+                });
+                finished
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("shutdown hung with a join pending ({what})"));
             }
-            if it == 5 {
-                sys.join_ready().unwrap();
-            }
-            j.step(&mut sys, it);
         }
-        let err = j.verify(&mut sys, 8);
-        assert_eq!(err, 0.0, "adaptation must not change results");
-        sys.shutdown();
     }
 }

@@ -8,14 +8,21 @@
 //! array, computes a Lennard-Jones-style pair force, and accumulates
 //! into its own force slot. A reduction produces the total energy.
 //!
+//! Each region body is written once (`NbfTask`) and runs on both
+//! engines.
+//!
 //! Force and position updates are bit-exact against the serial
 //! reference for any team size; the energy reduction's floating-point
 //! grouping depends on the team size, so it is checked with a tolerance.
 
 use crate::Kernel;
-use nowmp_omp::{OmpProgram, OmpSystem, Params};
+use nowmp_omp::sched::static_block;
+use nowmp_omp::{OmpProgram, OmpSystem, Params, ParamsReader};
+use nowmp_tmk::engine::{RegionTask, Step, WordMem, MAX_TEAM, RED_ARRAY};
+use nowmp_tmk::types::{Addr, Pid};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// The NBF kernel.
 #[derive(Debug, Clone)]
@@ -137,82 +144,190 @@ impl Nbf {
     }
 }
 
+/// Which NBF region an [`NbfTask`] runs, with its region-private
+/// state.
+#[derive(Debug)]
+enum NbfRegion {
+    Init {
+        partners: usize,
+    },
+    Forces {
+        partners: usize,
+        phase: u8,
+        total: f64,
+    },
+    Update {
+        dt: f64,
+    },
+}
+
+/// One rank's share of an NBF region — the single source both engines
+/// run (built by [`Nbf::task`]).
+#[derive(Debug)]
+pub(crate) struct NbfTask {
+    region: NbfRegion,
+    n: u64,
+    atoms: Range<u64>,
+    pid: Pid,
+    arrays: [Addr; 5],
+}
+
+impl Nbf {
+    /// The outlined regions, in registration order.
+    const REGIONS: [&'static str; 3] = ["nbf_init", "nbf_forces", "nbf_update"];
+    /// The shared arrays, in the order [`Nbf::task`] takes their
+    /// addresses (the last is the OpenMP runtime's reduction scratch).
+    pub(crate) const ARRAYS: [&'static str; 5] =
+        ["nbf_pos", "nbf_force", "nbf_partners", "nbf_out", RED_ARRAY];
+
+    /// The region factory: rank `pid` of `nprocs`'s share of `region`
+    /// under `schedule(static)` over atoms, given the region's params
+    /// and the addresses of [`Nbf::ARRAYS`].
+    pub(crate) fn task(
+        region: &str,
+        params: &[u8],
+        arrays: [Addr; 5],
+        pid: Pid,
+        nprocs: usize,
+    ) -> NbfTask {
+        let mut p = ParamsReader::new(params);
+        let n = p.u64();
+        let region = match region {
+            "nbf_init" => NbfRegion::Init {
+                partners: p.u64() as usize,
+            },
+            "nbf_forces" => NbfRegion::Forces {
+                partners: p.u64() as usize,
+                phase: 0,
+                total: 0.0,
+            },
+            "nbf_update" => NbfRegion::Update { dt: p.f64() },
+            other => panic!("unknown NBF region {other:?}"),
+        };
+        NbfTask {
+            region,
+            n,
+            atoms: static_block(0..n, pid as usize, nprocs),
+            pid,
+            arrays,
+        }
+    }
+}
+
+/// `nbf_forces`' worksharing loop: the force on each of `atoms` from
+/// its partners, written to `force`; returns the summed pair energy.
+fn accumulate_forces<M: WordMem>(
+    m: &mut M,
+    atoms: Range<u64>,
+    partners: usize,
+    [pos, force, plists]: [Addr; 3],
+) -> f64 {
+    let mut energy = 0.0;
+    let mut plist = vec![0u64; partners];
+    for a in atoms {
+        let ax = m.read_f64(pos + a * 3);
+        let ay = m.read_f64(pos + a * 3 + 1);
+        let az = m.read_f64(pos + a * 3 + 2);
+        m.read_words(plists + a * partners as u64, &mut plist);
+        let (mut fx, mut fy, mut fz) = (0.0, 0.0, 0.0);
+        for &b in &plist {
+            let dx = ax - m.read_f64(pos + b * 3);
+            let dy = ay - m.read_f64(pos + b * 3 + 1);
+            let dz = az - m.read_f64(pos + b * 3 + 2);
+            let (fmag, e) = Nbf::pair(dx, dy, dz);
+            fx += fmag * dx;
+            fy += fmag * dy;
+            fz += fmag * dz;
+            energy += e;
+        }
+        m.write_f64(force + a * 3, fx);
+        m.write_f64(force + a * 3 + 1, fy);
+        m.write_f64(force + a * 3 + 2, fz);
+    }
+    energy
+}
+
+impl<M: WordMem> RegionTask<M> for NbfTask {
+    fn step(&mut self, m: &mut M) -> Step {
+        let [pos, force, plists, out, red] = self.arrays;
+        let atoms = self.atoms.clone();
+        let iters = atoms.end - atoms.start;
+        match &mut self.region {
+            // Materialize positions and partner lists per atom.
+            NbfRegion::Init { partners } => {
+                for a in atoms {
+                    let xyz = Nbf::atom_pos(self.n as usize, a as usize);
+                    let ps = Nbf::atom_partners(self.n as usize, *partners, a as usize);
+                    m.write_f64s(pos + a * 3, &xyz);
+                    m.write_words(plists + a * *partners as u64, &ps);
+                }
+                m.charge_compute(iters);
+                Step::Done
+            }
+            // Force accumulation, then `reduction(+: energy)` over the
+            // runtime scratch: write `red[pid]` → barrier → fold in pid
+            // order → barrier (nobody may overwrite the scratch while
+            // stragglers still read it) → `master` stores the total.
+            NbfRegion::Forces {
+                partners,
+                phase,
+                total,
+            } => match *phase {
+                0 => {
+                    let energy = accumulate_forces(m, atoms, *partners, [pos, force, plists]);
+                    m.charge_compute(iters);
+                    m.write_f64(red + self.pid as u64, energy);
+                    *phase = 1;
+                    Step::Barrier
+                }
+                1 => {
+                    *total = 0.0;
+                    for p in 0..m.nprocs() as u64 {
+                        *total += m.read_f64(red + p);
+                    }
+                    *phase = 2;
+                    Step::Barrier
+                }
+                _ => {
+                    if self.pid == 0 {
+                        m.write_f64(out, *total);
+                    }
+                    Step::Done
+                }
+            },
+            // Integrate positions by `dt × force`.
+            NbfRegion::Update { dt } => {
+                for a in atoms {
+                    for dim in 0..3 {
+                        let cur = m.read_f64(pos + a * 3 + dim);
+                        let f = m.read_f64(force + a * 3 + dim);
+                        m.write_f64(pos + a * 3 + dim, cur + *dt * f);
+                    }
+                }
+                m.charge_compute(iters);
+                Step::Done
+            }
+        }
+    }
+}
+
 impl Kernel for Nbf {
     fn name(&self) -> &'static str {
         "NBF"
     }
 
     fn add_regions(&self, p: OmpProgram) -> OmpProgram {
-        p.region("nbf_init", |ctx| {
-            let mut p = ctx.params();
-            let n = p.u64();
-            let partners_per = p.u64() as usize;
-            let pos = ctx.f64vec("nbf_pos");
-            let plists = ctx.u64vec("nbf_partners");
-            ctx.for_static(0..n, |ctx, a| {
-                let a = a as usize;
-                let xyz = Nbf::atom_pos(n as usize, a);
-                let ps = Nbf::atom_partners(n as usize, partners_per, a);
-                let d = ctx.dsm();
-                pos.write_from(d, a * 3, &xyz);
-                plists.write_from(d, a * partners_per, &ps);
-            });
-        })
-        .region("nbf_forces", |ctx| {
-            let mut p = ctx.params();
-            let n = p.u64();
-            let partners_per = p.u64() as usize;
-            let pos = ctx.f64vec("nbf_pos");
-            let force = ctx.f64vec("nbf_force");
-            let partners = ctx.u64vec("nbf_partners");
-            let out = ctx.f64vec("nbf_out");
-            let mut local_energy = 0.0;
-            let mut plist = vec![0u64; partners_per];
-            ctx.for_static(0..n, |ctx, a| {
-                let a = a as usize;
-                let d = ctx.dsm();
-                let ax = pos.get(d, a * 3);
-                let ay = pos.get(d, a * 3 + 1);
-                let az = pos.get(d, a * 3 + 2);
-                partners.read_into(d, a * partners_per, &mut plist);
-                let (mut fx, mut fy, mut fz) = (0.0, 0.0, 0.0);
-                for &b in &plist {
-                    let b = b as usize;
-                    let dx = ax - pos.get(d, b * 3);
-                    let dy = ay - pos.get(d, b * 3 + 1);
-                    let dz = az - pos.get(d, b * 3 + 2);
-                    let (fmag, e) = Nbf::pair(dx, dy, dz);
-                    fx += fmag * dx;
-                    fy += fmag * dy;
-                    fz += fmag * dz;
-                    local_energy += e;
-                }
-                force.set(d, a * 3, fx);
-                force.set(d, a * 3 + 1, fy);
-                force.set(d, a * 3 + 2, fz);
-            });
-            // reduction(+: energy)
-            let total = ctx.reduce_sum_f64(local_energy);
-            ctx.master(|c| {
-                out.set(c.dsm(), 0, total);
-            });
-        })
-        .region("nbf_update", |ctx| {
-            let mut p = ctx.params();
-            let n = p.u64();
-            let dt = p.f64();
-            let pos = ctx.f64vec("nbf_pos");
-            let force = ctx.f64vec("nbf_force");
-            ctx.for_static(0..n, |ctx, a| {
-                let a = a as usize;
-                let d = ctx.dsm();
-                for dim in 0..3 {
-                    let cur = pos.get(d, a * 3 + dim);
-                    let f = force.get(d, a * 3 + dim);
-                    pos.set(d, a * 3 + dim, cur + dt * f);
-                }
-            });
-        })
+        crate::task_regions(
+            p,
+            &Nbf::REGIONS,
+            Nbf::ARRAYS,
+            |region, params, addrs, pid, nprocs| {
+                // The thread engine's team must fit the reduction scratch;
+                // the task engine simulates teams far past it.
+                assert!(nprocs <= MAX_TEAM, "team exceeds reduction scratch");
+                Nbf::task(region, params, addrs, pid, nprocs)
+            },
+        )
     }
 
     fn setup(&self, sys: &mut OmpSystem) {
@@ -285,8 +400,7 @@ impl Kernel for Nbf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_kernel;
-    use nowmp_core::{ClusterConfig, LeaveSel};
+    use crate::testing::{self, Engine};
 
     #[test]
     fn reference_is_deterministic() {
@@ -307,34 +421,11 @@ mod tests {
 
     #[test]
     fn parallel_matches_reference() {
-        for procs in [1, 2, 4] {
-            let k = Nbf::new(64, 8);
-            let (sys, err) = run_kernel(&k, ClusterConfig::test(procs + 1, procs), 3);
-            assert_eq!(
-                err, 0.0,
-                "procs={procs}: forces/positions must be bit-exact"
-            );
-            sys.shutdown();
-        }
+        testing::nbf_matches_reference(Engine::Thread);
     }
 
     #[test]
     fn nbf_under_adaptation_stays_exact() {
-        let k = Nbf::new(64, 8);
-        let program = crate::build_program(&[&k]);
-        let mut sys = nowmp_omp::OmpSystem::new(ClusterConfig::test(5, 4), program);
-        k.setup(&mut sys);
-        for it in 0..4 {
-            if it == 1 {
-                sys.adapt().leave(LeaveSel::Pid(2), None).unwrap();
-            }
-            if it == 2 {
-                sys.join_ready().unwrap();
-            }
-            k.step(&mut sys, it);
-        }
-        let err = k.verify(&mut sys, 4);
-        assert_eq!(err, 0.0);
-        sys.shutdown();
+        testing::nbf_under_adaptation(Engine::Thread);
     }
 }

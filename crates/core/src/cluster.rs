@@ -294,6 +294,9 @@ pub struct ClusterShared {
     events: Mutex<VecDeque<AdaptEvent>>,
     pending_leaves: Mutex<Vec<Arc<PendingLeave>>>,
     pending_joins: Mutex<HashMap<Gpid, HostId>>,
+    /// Spawner threads of requested joins; shutdown waits for them so
+    /// an unseated joiner is registered, and so terminated, first.
+    spawners: Mutex<Vec<std::thread::JoinHandle<()>>>,
     team_view: Mutex<Vec<Gpid>>,
     freeze: Arc<Freeze>,
     log: EventLog,
@@ -335,29 +338,6 @@ impl ClusterShared {
         self.hosts.lock().host_of(gpid)
     }
 
-    /// Deprecated spelling of [`AdaptHandle::join`].
-    #[deprecated(note = "use `adapt().join()`")]
-    pub fn request_join(self: &Arc<Self>) -> Result<HostId, AdaptError> {
-        self.join_impl()
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::leave`] with
-    /// [`LeaveSel::Gpid`].
-    #[deprecated(note = "use `adapt().leave(LeaveSel::Gpid(gpid), grace)`")]
-    pub fn request_leave(
-        self: &Arc<Self>,
-        gpid: Gpid,
-        grace: Option<Duration>,
-    ) -> Result<(), AdaptError> {
-        self.leave_impl(gpid, grace)
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::checkpoint`].
-    #[deprecated(note = "use `adapt().checkpoint()`")]
-    pub fn request_checkpoint(&self) {
-        self.checkpoint_impl();
-    }
-
     /// Join: reserve a free workstation, spawn the process
     /// (asynchronously: the spawn delay and connection setup overlap the
     /// ongoing computation), and let it enter at a later adaptation
@@ -370,7 +350,7 @@ impl ClusterShared {
             .ok_or(AdaptError::NoFreeHost)?;
         self.log.push(EventKind::JoinRequested { host });
         let me = Arc::clone(self);
-        std::thread::spawn(move || {
+        let spawner = std::thread::spawn(move || {
             let _participant = me.clock.participant();
             // Process creation cost (0.6–0.8 s on the paper's testbed),
             // charged off the critical path.
@@ -383,6 +363,9 @@ impl ClusterShared {
             me.pending_joins.lock().insert(gpid, host);
             me.log.push(EventKind::JoinReady { gpid });
         });
+        let mut spawners = self.spawners.lock();
+        spawners.retain(|h| !h.is_finished());
+        spawners.push(spawner);
         Ok(host)
     }
 
@@ -695,6 +678,7 @@ impl Cluster {
             events: Mutex::new(VecDeque::new()),
             pending_leaves: Mutex::new(Vec::new()),
             pending_joins: Mutex::new(HashMap::new()),
+            spawners: Mutex::new(Vec::new()),
             team_view: Mutex::new(team),
             freeze,
             migrate_prefer_free: cfg.migrate_prefer_free,
@@ -776,6 +760,7 @@ impl Cluster {
                 events: Mutex::new(VecDeque::new()),
                 pending_leaves: Mutex::new(Vec::new()),
                 pending_joins: Mutex::new(HashMap::new()),
+                spawners: Mutex::new(Vec::new()),
                 team_view: Mutex::new(team),
                 freeze,
                 migrate_prefer_free: cfg2.migrate_prefer_free,
@@ -856,18 +841,6 @@ impl Cluster {
         self.shared.adapt()
     }
 
-    /// Deprecated spelling of [`AdaptHandle::join`].
-    #[deprecated(note = "use `adapt().join()`")]
-    pub fn request_join(&self) -> Result<HostId, AdaptError> {
-        self.shared.join_impl()
-    }
-
-    /// Deprecated spelling of [`Cluster::join_ready`].
-    #[deprecated(note = "use `join_ready()`")]
-    pub fn request_join_ready(&mut self) -> Result<Gpid, AdaptError> {
-        self.join_ready().map(|(g, _)| g)
-    }
-
     /// Request a join and block until the new process has connected
     /// (deterministic variant: the very next adaptation point commits
     /// it). Needs the master, so it lives here rather than on
@@ -906,26 +879,6 @@ impl Cluster {
         Ok((gpid, host))
     }
 
-    /// Deprecated spelling of [`AdaptHandle::leave`] with
-    /// [`LeaveSel::Pid`].
-    #[deprecated(note = "use `adapt().leave(LeaveSel::Pid(pid), grace)`")]
-    pub fn request_leave_pid(&self, pid: u16, grace: Option<Duration>) -> Result<Gpid, AdaptError> {
-        self.adapt().leave(LeaveSel::Pid(pid), grace)
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::leave`] with
-    /// [`LeaveSel::Gpid`].
-    #[deprecated(note = "use `adapt().leave(LeaveSel::Gpid(gpid), grace)`")]
-    pub fn request_leave(&self, gpid: Gpid, grace: Option<Duration>) -> Result<(), AdaptError> {
-        self.adapt().leave(LeaveSel::Gpid(gpid), grace).map(|_| ())
-    }
-
-    /// Deprecated spelling of [`AdaptHandle::checkpoint`].
-    #[deprecated(note = "use `adapt().checkpoint()`")]
-    pub fn request_checkpoint(&self) {
-        self.shared.checkpoint_impl();
-    }
-
     /// Execute one parallel construct, handling any pending adapt
     /// events at the adaptation point first.
     pub fn parallel(&mut self, region: u32, params: &[u8]) {
@@ -959,7 +912,7 @@ impl Cluster {
             }
         }
         {
-            // Plus any replayed by request_join_ready / external sources.
+            // Plus any replayed by join_ready / external sources.
             let mut ev = self.shared.events.lock();
             let mut rest = VecDeque::new();
             while let Some(e) = ev.pop_front() {
@@ -1122,8 +1075,13 @@ impl Cluster {
         self.write_checkpoint();
     }
 
-    /// Shut down the whole system.
+    /// Shut down the whole system, including processes spawned for
+    /// joins that no adaptation point has seated yet.
     pub fn shutdown(self) {
+        let spawners: Vec<_> = self.shared.spawners.lock().drain(..).collect();
+        for h in spawners {
+            let _ = self.shared.clock.blocked(|| h.join());
+        }
         self.master.shutdown();
     }
 }

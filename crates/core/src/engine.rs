@@ -45,7 +45,9 @@ use std::time::Duration;
 
 use nowmp_ckpt::{migration_image_bytes, Checkpoint};
 use nowmp_net::{CostModel, Gpid, HostId, NetModel};
-use nowmp_tmk::engine::{HostState, RegionTask, SimMemory, Step, StepOutcome, TaskCtx};
+use nowmp_tmk::engine::{
+    BoxedTask, HostState, SimMemory, Step, StepOutcome, TaskCtx, DYN_COUNTER, MAX_TEAM, RED_ARRAY,
+};
 use nowmp_tmk::shm::{Allocator, Registry};
 use nowmp_tmk::types::{Addr, PageId, Pid};
 use nowmp_tmk::{ElemKind, MemoryImage};
@@ -56,15 +58,6 @@ use crate::hostpool::HostPool;
 use crate::log::{EventKind, EventLog};
 use crate::reassign::reassign;
 
-/// Reduction scratch published by [`TaskSystem::new`] (mirrors the
-/// OpenMP layer's `__omp_red` so registries — and therefore checkpoint
-/// bytes — match the thread engine).
-pub const RED_ARRAY: &str = "__omp_red";
-/// Dynamic-schedule counter (mirrors `__omp_dyn`).
-pub const DYN_COUNTER: &str = "__omp_dyn";
-/// Largest team the reduction scratch supports.
-pub const MAX_TEAM: usize = 64;
-
 /// Scheduler task-id namespaces. Host tasks use their pid directly;
 /// pseudo-tasks for deadline-set timers live far above any team size.
 const JOIN_BASE: usize = 1 << 32;
@@ -74,10 +67,10 @@ const GRACE_BASE: usize = 1 << 33;
 /// task-engine analog of registering regions with `OmpProgram`.
 ///
 /// `kernel` is the outlined-region factory: given a region name and
-/// its firstprivate params, produce the [`RegionTask`] state machine
-/// for one rank. It must perform *exactly* the reads, writes, and
-/// `charge_compute` calls the thread-backed region body performs, in
-/// the same order, for event and image parity to hold.
+/// its firstprivate params, produce the [`nowmp_tmk::RegionTask`] for
+/// one rank. Event and image parity with the thread engine hold when
+/// both engines run the same body — the paper kernels build theirs
+/// with one factory shared by both.
 pub trait TaskApp {
     /// Kernel name (reporting only).
     fn name(&self) -> &'static str;
@@ -95,7 +88,7 @@ pub trait TaskApp {
         params: &[u8],
         pid: Pid,
         nprocs: usize,
-    ) -> Box<dyn RegionTask>;
+    ) -> BoxedTask;
 }
 
 /// A spawned-but-not-committed joiner (between `JoinRequested` and
@@ -158,7 +151,7 @@ pub struct TaskSystem {
 /// One runnable task taken out of the state table for a wave.
 struct WaveItem {
     pid: usize,
-    task: Box<dyn RegionTask>,
+    task: BoxedTask,
     step: Step,
     out: StepOutcome,
 }
@@ -295,35 +288,6 @@ impl TaskSystem {
     /// task engine is single-owner (no timer threads to share with).
     pub fn adapt(&mut self) -> TaskAdapt<'_> {
         TaskAdapt { sys: self }
-    }
-
-    /// Deprecated spelling of [`TaskAdapt::join`].
-    #[deprecated(note = "use `adapt().join()`")]
-    pub fn request_join(&mut self) -> Result<Gpid, AdaptError> {
-        self.join_impl()
-    }
-
-    /// Deprecated spelling of [`TaskAdapt::join_ready`].
-    #[deprecated(note = "use `adapt().join_ready()`")]
-    pub fn request_join_ready(&mut self) -> Result<Gpid, AdaptError> {
-        self.join_ready_impl()
-    }
-
-    /// Deprecated spelling of [`TaskAdapt::leave`] with
-    /// [`LeaveSel::Pid`].
-    #[deprecated(note = "use `adapt().leave(LeaveSel::Pid(pid), grace)`")]
-    pub fn request_leave_pid(
-        &mut self,
-        pid: usize,
-        grace: Option<Duration>,
-    ) -> Result<Gpid, AdaptError> {
-        self.leave_pid_impl(pid, grace)
-    }
-
-    /// Deprecated spelling of [`TaskAdapt::checkpoint`].
-    #[deprecated(note = "use `adapt().checkpoint()`")]
-    pub fn request_checkpoint(&mut self) {
-        self.ckpt_requested = true;
     }
 
     /// Ask a free workstation to join; the spawn completes (and
@@ -832,6 +796,7 @@ pub fn run_task_app(app: &dyn TaskApp, cfg: ClusterConfig, iters: usize) -> (f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nowmp_tmk::engine::{RegionTask, WordMem};
     use nowmp_util::Clock;
 
     fn cfg(hosts: usize, procs: usize) -> ClusterConfig {
@@ -852,8 +817,8 @@ mod tests {
         phase: u8,
     }
 
-    impl RegionTask for RingTask {
-        fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
+    impl<M: WordMem> RegionTask<M> for RingTask {
+        fn step(&mut self, ctx: &mut M) -> Step {
             let n = ctx.nprocs() as u64;
             match self.phase {
                 0 => {
@@ -900,7 +865,7 @@ mod tests {
             _params: &[u8],
             pid: Pid,
             _nprocs: usize,
-        ) -> Box<dyn RegionTask> {
+        ) -> BoxedTask {
             Box::new(RingTask {
                 pid,
                 arr: sys.addr_of("arr"),

@@ -17,6 +17,7 @@
 
 use crate::params::ParamsReader;
 use crate::sched;
+use nowmp_tmk::engine::{RegionTask, Step, DYN_COUNTER, MAX_TEAM, RED_ARRAY};
 use nowmp_tmk::shared::{SharedF64Mat, SharedF64Vec, SharedU64Vec};
 use nowmp_tmk::TmkCtx;
 use std::ops::Range;
@@ -25,12 +26,6 @@ use std::ops::Range;
 const DYN_LOCK: u32 = 0xFFFF_0000;
 /// Base for user critical-section locks.
 const CRIT_BASE: u32 = 0xFFFF_1000;
-/// Name of the runtime's reduction scratch array.
-pub(crate) const RED_ARRAY: &str = "__omp_red";
-/// Name of the runtime's dynamic-schedule counter.
-pub(crate) const DYN_COUNTER: &str = "__omp_dyn";
-/// Maximum team size the runtime scratch provides for.
-pub(crate) const MAX_TEAM: usize = 64;
 
 /// A `sections` work item.
 pub type Section<'c, 'a> = Box<dyn FnOnce(&mut OmpCtx<'a>) + 'c>;
@@ -249,6 +244,22 @@ impl<'a> OmpCtx<'a> {
             self.tmk.charge_compute(hi - lo);
         }
         self.barrier();
+    }
+
+    /// Run a single-source region body — the [`RegionTask`] the task
+    /// engine would box — to completion on this rank: [`Step::Again`]
+    /// steps on, [`Step::Barrier`] is `#pragma omp barrier`,
+    /// [`Step::Done`] returns. Statically dispatched, so the body's
+    /// word accesses reach the DSM exactly as a hand-written region's
+    /// would.
+    pub fn run_task(&mut self, mut task: impl RegionTask<TmkCtx>) {
+        loop {
+            match task.step(self.tmk) {
+                Step::Again => {}
+                Step::Barrier => self.barrier(),
+                Step::Done => return,
+            }
+        }
     }
 
     // ------------------------------------------------------------------

@@ -17,6 +17,7 @@
 
 use crate::config::{DataPlaneConfig, DsmConfig};
 use crate::core::{AccessPlan, LockWaiter, ProcCore};
+use crate::engine::WordMem;
 use crate::msg::Msg;
 use crate::page::PageBuf;
 use crate::service::{deliver_grant, Ctrl};
@@ -373,6 +374,9 @@ impl TmkCtx {
 
     /// Ensure `page` is accessible (and writable if `write`), returning
     /// a cached handle. The heart of the software page-fault path.
+    /// Inlined so the cache-hit check lands in the word loops of
+    /// generic region bodies (the misses go to the cold `fault`).
+    #[inline]
     pub fn ensure_page(&mut self, page: PageId, write: bool) -> &CacheEnt {
         let idx = page as usize;
         if idx >= self.cache.len() {
@@ -771,7 +775,7 @@ impl TmkCtx {
     }
 
     // ------------------------------------------------------------------
-    // Typed access
+    // Typed access (the word reads and writes are the `WordMem` impl)
     // ------------------------------------------------------------------
 
     #[inline]
@@ -780,105 +784,6 @@ impl TmkCtx {
             (addr >> self.page_shift) as PageId,
             (addr & (self.slots_per_page as u64 - 1)) as usize,
         )
-    }
-
-    /// Read the 8-byte slot at `addr` as `u64`.
-    #[inline]
-    pub fn read_u64(&mut self, addr: Addr) -> u64 {
-        let (page, off) = self.locate(addr);
-        self.ensure_page(page, false).buf.load(off)
-    }
-
-    /// Write the 8-byte slot at `addr`.
-    #[inline]
-    pub fn write_u64(&mut self, addr: Addr, v: u64) {
-        let (page, off) = self.locate(addr);
-        self.ensure_page(page, true).buf.store(off, v);
-    }
-
-    /// Read the slot at `addr` as `f64`.
-    #[inline]
-    pub fn read_f64(&mut self, addr: Addr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Write the slot at `addr` as `f64`.
-    #[inline]
-    pub fn write_f64(&mut self, addr: Addr, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
-
-    /// Read the slot at `addr` as `i64`.
-    #[inline]
-    pub fn read_i64(&mut self, addr: Addr) -> i64 {
-        self.read_u64(addr) as i64
-    }
-
-    /// Write the slot at `addr` as `i64`.
-    #[inline]
-    pub fn write_i64(&mut self, addr: Addr, v: i64) {
-        self.write_u64(addr, v as u64);
-    }
-
-    /// Bulk-read `dst.len()` slots starting at `addr` (page-chunked; one
-    /// fault check per page instead of per element).
-    pub fn read_words(&mut self, addr: Addr, dst: &mut [u64]) {
-        let mut a = addr;
-        let mut i = 0;
-        while i < dst.len() {
-            let (page, off) = self.locate(a);
-            let n = (self.slots_per_page - off).min(dst.len() - i);
-            let ent = self.ensure_page(page, false);
-            ent.buf.read_range(off, &mut dst[i..i + n]);
-            i += n;
-            a += n as u64;
-        }
-    }
-
-    /// Bulk-write `src` starting at `addr`.
-    pub fn write_words(&mut self, addr: Addr, src: &[u64]) {
-        let mut a = addr;
-        let mut i = 0;
-        while i < src.len() {
-            let (page, off) = self.locate(a);
-            let n = (self.slots_per_page - off).min(src.len() - i);
-            let ent = self.ensure_page(page, true);
-            ent.buf.write_range(off, &src[i..i + n]);
-            i += n;
-            a += n as u64;
-        }
-    }
-
-    /// Bulk-read as `f64`.
-    pub fn read_f64s(&mut self, addr: Addr, dst: &mut [f64]) {
-        let mut a = addr;
-        let mut i = 0;
-        while i < dst.len() {
-            let (page, off) = self.locate(a);
-            let n = (self.slots_per_page - off).min(dst.len() - i);
-            let ent = self.ensure_page(page, false);
-            for k in 0..n {
-                dst[i + k] = f64::from_bits(ent.buf.load(off + k));
-            }
-            i += n;
-            a += n as u64;
-        }
-    }
-
-    /// Bulk-write `f64`s.
-    pub fn write_f64s(&mut self, addr: Addr, src: &[f64]) {
-        let mut a = addr;
-        let mut i = 0;
-        while i < src.len() {
-            let (page, off) = self.locate(a);
-            let n = (self.slots_per_page - off).min(src.len() - i);
-            let ent = self.ensure_page(page, true);
-            for k in 0..n {
-                ent.buf.store(off + k, src[i + k].to_bits());
-            }
-            i += n;
-            a += n as u64;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1155,6 +1060,93 @@ impl TmkCtx {
                 }
                 .to_bytes_compat(self.wire_enc),
             );
+        }
+    }
+}
+
+/// The thread engine's [`WordMem`], and the DSM's typed access: every
+/// word goes through the fault path; bulk reads and writes are
+/// page-chunked, one fault check per page instead of per element.
+impl WordMem for TmkCtx {
+    fn pid(&self) -> Pid {
+        TmkCtx::pid(self)
+    }
+
+    fn nprocs(&self) -> usize {
+        TmkCtx::nprocs(self)
+    }
+
+    /// Read the 8-byte slot at `addr`.
+    #[inline]
+    fn read_u64(&mut self, addr: Addr) -> u64 {
+        let (page, off) = self.locate(addr);
+        self.ensure_page(page, false).buf.load(off)
+    }
+
+    /// Write the 8-byte slot at `addr`.
+    #[inline]
+    fn write_u64(&mut self, addr: Addr, v: u64) {
+        let (page, off) = self.locate(addr);
+        self.ensure_page(page, true).buf.store(off, v);
+    }
+
+    fn charge_compute(&mut self, iters: u64) {
+        TmkCtx::charge_compute(self, iters);
+    }
+
+    fn read_words(&mut self, addr: Addr, dst: &mut [u64]) {
+        let mut a = addr;
+        let mut i = 0;
+        while i < dst.len() {
+            let (page, off) = self.locate(a);
+            let n = (self.slots_per_page - off).min(dst.len() - i);
+            let ent = self.ensure_page(page, false);
+            ent.buf.read_range(off, &mut dst[i..i + n]);
+            i += n;
+            a += n as u64;
+        }
+    }
+
+    fn write_words(&mut self, addr: Addr, src: &[u64]) {
+        let mut a = addr;
+        let mut i = 0;
+        while i < src.len() {
+            let (page, off) = self.locate(a);
+            let n = (self.slots_per_page - off).min(src.len() - i);
+            let ent = self.ensure_page(page, true);
+            ent.buf.write_range(off, &src[i..i + n]);
+            i += n;
+            a += n as u64;
+        }
+    }
+
+    fn read_f64s(&mut self, addr: Addr, dst: &mut [f64]) {
+        let mut a = addr;
+        let mut i = 0;
+        while i < dst.len() {
+            let (page, off) = self.locate(a);
+            let n = (self.slots_per_page - off).min(dst.len() - i);
+            let ent = self.ensure_page(page, false);
+            for k in 0..n {
+                dst[i + k] = f64::from_bits(ent.buf.load(off + k));
+            }
+            i += n;
+            a += n as u64;
+        }
+    }
+
+    fn write_f64s(&mut self, addr: Addr, src: &[f64]) {
+        let mut a = addr;
+        let mut i = 0;
+        while i < src.len() {
+            let (page, off) = self.locate(a);
+            let n = (self.slots_per_page - off).min(src.len() - i);
+            let ent = self.ensure_page(page, true);
+            for k in 0..n {
+                ent.buf.store(off + k, src[i + k].to_bits());
+            }
+            i += n;
+            a += n as u64;
         }
     }
 }

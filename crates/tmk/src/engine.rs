@@ -1,5 +1,6 @@
 //! Resumable host state for the event-driven engine — tasks, not
-//! threads.
+//! threads — and the one memory surface region bodies are written
+//! against.
 //!
 //! The thread-backed simulation in [`crate::system`] parks each host's
 //! protocol position in an OS stack: an application thread blocked in a
@@ -15,6 +16,17 @@
 //! unrepresentable, and *which* communication point a host is parked at
 //! is pattern-matchable by the engine.
 //!
+//! ## One kernel source
+//!
+//! A region body is written once, as a [`RegionTask`] generic over
+//! [`WordMem`] — the word-addressed memory both engines expose. The
+//! task engine boxes it over a [`TaskCtx`]; the thread engine runs the
+//! same value over a `TmkCtx` through a blocking adaptor
+//! (`nowmp_omp::OmpCtx::run_task`) that turns [`Step::Barrier`] into a
+//! DSM barrier. Dispatch on the thread engine is static, so the DSM
+//! sees exactly the accesses, in exactly the order, of a hand-written
+//! region closure.
+//!
 //! ## Memory model
 //!
 //! Lazy release consistency says writes become visible at the next
@@ -27,8 +39,8 @@
 //! paper kernels are phase-structured exactly this way.)
 //!
 //! The engine that drives these types — scheduling, virtual time,
-//! adaptation — lives in `nowmp_core::engine`; the application state
-//! machines live in `nowmp_apps::tasks`.
+//! adaptation — lives in `nowmp_core::engine`; the paper kernels' region
+//! bodies live beside their serial references in `nowmp_apps`.
 
 use std::collections::BTreeSet;
 
@@ -49,17 +61,96 @@ pub enum Step {
     Done,
 }
 
-/// One rank's resumable execution of one parallel-region body.
+/// Name of the OpenMP runtime's reduction scratch array. Both engines
+/// publish it first, so registries — and checkpoint bytes — match.
+pub const RED_ARRAY: &str = "__omp_red";
+/// Name of the OpenMP runtime's dynamic-schedule counter.
+pub const DYN_COUNTER: &str = "__omp_dyn";
+/// Largest team the reduction scratch provides for.
+pub const MAX_TEAM: usize = 64;
+
+/// The word-addressed shared memory a region body programs against:
+/// the rank's identity, word and bulk access, and compute charging.
+/// `TaskCtx` (task engine) and `TmkCtx` (thread engine) both implement
+/// it, so one [`RegionTask`] body runs on either.
+///
+/// The bulk methods default to word loops; an implementation with a
+/// cheaper page-chunked path (the DSM's one fault check per page)
+/// overrides them. Either way the same words are touched in the same
+/// order.
+pub trait WordMem {
+    /// This rank.
+    fn pid(&self) -> Pid;
+    /// Team size at this fork.
+    fn nprocs(&self) -> usize;
+    /// Read the word at `addr`.
+    fn read_u64(&mut self, addr: Addr) -> u64;
+    /// Write the word at `addr`.
+    fn write_u64(&mut self, addr: Addr, v: u64);
+    /// Charge `iters` worksharing iterations of the region's modeled
+    /// compute cost.
+    fn charge_compute(&mut self, iters: u64);
+
+    /// Read an `f64` (bit-stored, like the typed shared arrays).
+    #[inline]
+    fn read_f64(&mut self, addr: Addr) -> f64 {
+        f64::from_bits(self.read_u64(addr))
+    }
+
+    /// Write an `f64` (bit-stored).
+    #[inline]
+    fn write_f64(&mut self, addr: Addr, v: f64) {
+        self.write_u64(addr, v.to_bits());
+    }
+
+    /// Read `dst.len()` words starting at `addr`.
+    fn read_words(&mut self, addr: Addr, dst: &mut [u64]) {
+        for (a, d) in (addr..).zip(dst) {
+            *d = self.read_u64(a);
+        }
+    }
+
+    /// Write `src` starting at `addr`.
+    fn write_words(&mut self, addr: Addr, src: &[u64]) {
+        for (a, v) in (addr..).zip(src) {
+            self.write_u64(a, *v);
+        }
+    }
+
+    /// Read `dst.len()` `f64`s starting at `addr`.
+    fn read_f64s(&mut self, addr: Addr, dst: &mut [f64]) {
+        for (a, d) in (addr..).zip(dst) {
+            *d = self.read_f64(a);
+        }
+    }
+
+    /// Write the `f64`s of `src` starting at `addr`.
+    fn write_f64s(&mut self, addr: Addr, src: &[f64]) {
+        for (a, v) in (addr..).zip(src) {
+            self.write_f64(a, *v);
+        }
+    }
+}
+
+/// One rank's resumable execution of one parallel-region body, over
+/// any [`WordMem`].
 ///
 /// A `RegionTask` is the unwound form of a region function: instead of
 /// blocking in `barrier()`, it returns [`Step::Barrier`] and keeps its
-/// loop position in fields. The engine calls [`RegionTask::step`] once
-/// per scheduling wave with a fresh [`TaskCtx`]; all side effects flow
-/// through the ctx (buffered writes, compute charges, page touches).
-pub trait RegionTask: Send {
+/// loop position in fields. The task engine calls [`RegionTask::step`]
+/// once per scheduling wave with a fresh [`TaskCtx`]; all side effects
+/// flow through the memory (buffered writes, compute charges, page
+/// touches). The thread engine steps the same value over a `TmkCtx`,
+/// blocking in a real barrier wherever the task returns
+/// [`Step::Barrier`].
+pub trait RegionTask<M: WordMem>: Send {
     /// Run until the next communication point (or a voluntary yield).
-    fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step;
+    fn step(&mut self, mem: &mut M) -> Step;
 }
+
+/// A region task as the task engine holds it: boxed, and steppable
+/// over a [`TaskCtx`] of any lifetime.
+pub type BoxedTask = Box<dyn for<'a> RegionTask<TaskCtx<'a>>>;
 
 /// A host's protocol position between communication points — the
 /// resumable replacement for a parked thread stack.
@@ -79,10 +170,10 @@ pub enum HostState {
     Idle,
     /// Executing region code: the task is runnable and will be stepped
     /// in the next wave.
-    Running(Box<dyn RegionTask>),
+    Running(BoxedTask),
     /// Arrived at an in-region barrier; holds the task to resume once
     /// every live rank arrives.
-    BarrierWait(Box<dyn RegionTask>),
+    BarrierWait(BoxedTask),
     /// Region body finished; waiting for the implicit end-of-region
     /// barrier (the join).
     Done,
@@ -212,11 +303,11 @@ impl SimMemory {
     }
 }
 
-/// What a [`RegionTask`] programs against for one step: its identity
-/// in the team, read access to the pre-phase memory snapshot, and the
+/// The task engine's [`WordMem`] for one step: the rank's identity in
+/// the team, read access to the pre-phase memory snapshot, and the
 /// outcome accumulators. The same access surface as the thread
-/// engine's `TmkCtx` typed views, minus the fault driver — faults are
-/// derived from [`StepOutcome::touched`] by the engine.
+/// engine's `TmkCtx`, minus the fault path — faults are derived from
+/// [`StepOutcome::touched`] by the engine.
 pub struct TaskCtx<'a> {
     pid: Pid,
     nprocs: usize,
@@ -236,51 +327,39 @@ impl<'a> TaskCtx<'a> {
         }
     }
 
-    /// This rank.
-    pub fn pid(&self) -> Pid {
-        self.pid
-    }
-
-    /// Team size at this fork.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
     #[inline]
     fn touch(&mut self, addr: Addr) {
         self.out.touched.insert(self.mem.page_of(addr));
+    }
+}
+
+impl WordMem for TaskCtx<'_> {
+    fn pid(&self) -> Pid {
+        self.pid
+    }
+
+    fn nprocs(&self) -> usize {
+        self.nprocs
     }
 
     /// Read a word from the pre-phase snapshot (buffered writes of the
     /// current phase — own or others' — are *not* visible).
     #[inline]
-    pub fn read_u64(&mut self, addr: Addr) -> u64 {
+    fn read_u64(&mut self, addr: Addr) -> u64 {
         self.touch(addr);
         self.mem.load(addr)
     }
 
-    /// Read an `f64` (bit-stored, like the typed shared arrays).
-    #[inline]
-    pub fn read_f64(&mut self, addr: Addr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
     /// Buffer a word write; visible after the next synchronization.
     #[inline]
-    pub fn write_u64(&mut self, addr: Addr, v: u64) {
+    fn write_u64(&mut self, addr: Addr, v: u64) {
         self.touch(addr);
         self.out.writes.push((addr, v));
     }
 
-    /// Buffer an `f64` write (bit-stored).
-    #[inline]
-    pub fn write_f64(&mut self, addr: Addr, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
-
-    /// Charge `iters` worksharing iterations of virtual compute — the
-    /// task-engine analog of `TmkCtx::charge_compute`.
-    pub fn charge_compute(&mut self, iters: u64) {
+    /// Charge virtual compute, converted to time by the engine's cost
+    /// model at the merge.
+    fn charge_compute(&mut self, iters: u64) {
         self.out.compute_iters += iters;
     }
 }
@@ -295,8 +374,8 @@ mod tests {
         round: u32,
     }
 
-    impl RegionTask for Counter {
-        fn step(&mut self, ctx: &mut TaskCtx<'_>) -> Step {
+    impl<M: WordMem> RegionTask<M> for Counter {
+        fn step(&mut self, ctx: &mut M) -> Step {
             let addr = self.base + ctx.pid() as Addr;
             let v = ctx.read_u64(addr);
             ctx.write_u64(addr, v + 1);

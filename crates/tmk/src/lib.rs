@@ -56,7 +56,9 @@ pub mod types;
 
 pub use config::{Broadcast, CollectiveConfig, DataPlaneConfig, DsmConfig};
 pub use ctx::TmkCtx;
-pub use engine::{HostState, RegionTask, SimMemory, Step, StepOutcome, TaskCtx};
+pub use engine::{
+    BoxedTask, HostState, RegionTask, SimMemory, Step, StepOutcome, TaskCtx, WordMem,
+};
 pub use msg::ElemKind;
 pub use shared::{SharedF64Mat, SharedF64Vec, SharedU64Vec};
 pub use stats::{DsmSnapshot, DsmStats};

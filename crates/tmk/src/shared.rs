@@ -6,6 +6,7 @@
 //! [`TmkCtx`], which enforces the DSM protocol.
 
 use crate::ctx::TmkCtx;
+use crate::engine::WordMem;
 use crate::msg::{ElemKind, RegEntry};
 use crate::types::Addr;
 use nowmp_util::wire::{Dec, Enc, Wire, WireError};

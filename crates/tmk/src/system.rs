@@ -1151,14 +1151,15 @@ impl MasterCtl {
             .count(|m| m.state != PageState::Invalid)
     }
 
-    /// Gracefully shut the system down: terminate every slave, then
-    /// unregister ourselves.
+    /// Gracefully shut the system down: terminate every other process
+    /// — team slaves and spawned joiners not yet seated in the team —
+    /// then unregister ourselves and wait for their threads.
     pub fn shutdown(self) {
-        let team = self.core.lock().team.clone();
-        for pid in 1..team.nprocs() {
-            let _ = self
-                .endpoint
-                .send(team.gpid(pid as Pid), Msg::Terminate.to_bytes());
+        let mut others: Vec<Gpid> = self.sys.cores.lock().keys().copied().collect();
+        others.retain(|&g| g != self.gpid());
+        others.sort_unstable();
+        for g in others {
+            let _ = self.endpoint.send(g, Msg::Terminate.to_bytes());
         }
         self.sys.net.unregister(self.gpid());
         self.sys.cores.lock().remove(&self.gpid());
